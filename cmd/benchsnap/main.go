@@ -229,7 +229,7 @@ func main() {
 	// acceptance number (BENCH_4.json).
 	geoFused, geoReg := map[string]float64{}, map[string]float64{}
 	geoSuper, geoNative := map[string]float64{}, 0.0
-	superBailouts := map[string]string{}
+	superTranslate := map[string]string{}
 	nKernels := 0
 	for _, name := range strings.Split(*kernels, ",") {
 		name = strings.TrimSpace(name)
@@ -307,14 +307,14 @@ func main() {
 				}
 				if tier.engine == wasm.EngineSuperblock {
 					st := tmod.Compiled.SuperStats(true)
-					fmt.Fprintf(os.Stderr, "    %-10s translate: %d funcs (%d reg-bail), %d loops -> %d idiom + %d step traces, %d bailouts\n",
-						tier.suffix, st.Funcs, st.RegBail, st.Loops, st.Idioms, st.StepLoops, st.Bailouts)
+					fmt.Fprintf(os.Stderr, "    %-10s translate: %d funcs (%d reg-bail), %d loops -> %d idiom traces + %d step loops\n",
+						tier.suffix, st.Funcs, st.RegBail, st.Loops, st.Idioms, st.StepLoops)
 				}
 			}
 		}
 
 		st := c.SuperStats(false)
-		superBailouts[name] = fmt.Sprintf("%d loops, %d idiom, %d step, %d bailouts", st.Loops, st.Idioms, st.StepLoops, st.Bailouts)
+		superTranslate[name] = fmt.Sprintf("%d loops, %d idiom, %d step", st.Loops, st.Idioms, st.StepLoops)
 		geoFused["wamr"] += lg(ns["wamr"])
 		geoReg["wamr"] += lg(ns["wamr-reg"])
 		geoSuper["wamr"] += lg(ns["wamr-super"])
@@ -337,7 +337,7 @@ func main() {
 			snap.Notes["fig3-super-vs-native-"+v] = fmt.Sprintf("%.2fx", ratio)
 			fmt.Fprintf(os.Stderr, "%-16s superblock geomean speedup over reg: %.3fx (%.2fx native)\n", v, sps, ratio)
 		}
-		for name, bl := range superBailouts {
+		for name, bl := range superTranslate {
 			snap.Notes["fig3-super-translate-"+name] = bl
 		}
 	}

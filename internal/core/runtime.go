@@ -302,8 +302,8 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 	}
 	// The superblock tier (PR 7) stacks on the register form: its
 	// translation counters describe how many innermost loops became
-	// idiom or step traces, and how many bailed back to the register
-	// interpreter. Same guarded/unguarded reporting rule as above.
+	// idiom traces and how many run as plain register steps. Same
+	// guarded/unguarded reporting rule as above.
 	if rt.cfg.Engine == wasm.EngineSuperblock {
 		st := mod.Compiled.SuperStats(!rt.cfg.NoEPCTLB)
 		rt.prof.Add("wasm.super.funcs", int64(st.Funcs))
@@ -311,7 +311,6 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 		rt.prof.Add("wasm.super.loops", int64(st.Loops))
 		rt.prof.Add("wasm.super.idioms", int64(st.Idioms))
 		rt.prof.Add("wasm.super.steploops", int64(st.StepLoops))
-		rt.prof.Add("wasm.super.bailouts", int64(st.Bailouts))
 	}
 	mod.LoadTime = time.Since(start)
 	rt.prof.AddTime("twine.load", mod.LoadTime)

@@ -8,8 +8,8 @@ import (
 // Streaming result cursor (the "ted" shape from the related-work repos):
 // rows flow over a bounded channel from a producer goroutine walking the
 // join loop, so large scans never materialise the whole result set. The
-// fan-out merge in the tsql shard service consumes per-shard streams the
-// same way.
+// tsql shard service's fan-out merge does not use it: it merges
+// materialised per-shard results.
 
 // iterChanCap bounds the rows buffered between producer and consumer; it
 // is the streaming memory ceiling a scan of any size is held to.

@@ -28,14 +28,14 @@ type compiledFunc struct {
 	code       []ins
 	brTables   [][]brTarget
 	// reg marks a register-form body (PR 4): code is three-address over
-	// the frame register file and executes through runRegBody. The frame
-	// footprint is unchanged — operand-slot homes reuse the maxStack
-	// area — so stack-overflow traps fire at the same call depths.
+	// the frame register file. The frame footprint is unchanged —
+	// operand-slot homes reuse the maxStack area — so stack-overflow
+	// traps fire at the same call depths.
 	reg bool
-	// traces holds the superblock tier's compiled loop traces (PR 7),
-	// indexed by sOpTraceEnter's .a operand. Non-nil only in the
-	// superblock form of a function.
-	traces []superTrace
+	// steps is code compiled to one closure per instruction, the form a
+	// register body executes in (runSteps). In the superblock form the
+	// steps at idiom-loop headers are replaced by the idiom traces.
+	steps []regStep
 }
 
 // Compiled is a fully validated module with lowered function bodies, ready
@@ -100,6 +100,7 @@ func (c *Compiled) reg(guarded bool) []compiledFunc {
 			var fs RegStats
 			rf, ok := translateReg(c.Module, &c.Funcs[i], &fs, guarded)
 			if ok {
+				rf.steps = lowerSteps(&rf)
 				out[i] = rf
 				c.regStats[v].merge(fs)
 				c.regStats[v].Funcs++
@@ -114,7 +115,7 @@ func (c *Compiled) reg(guarded bool) []compiledFunc {
 }
 
 // super returns the superblock form of the function bodies (PR 7):
-// register bodies with innermost self-loops patched into compiled traces.
+// register bodies whose idiom-loop headers run compiled idiom traces.
 // Functions without a register form stay fused, untraced. The result is
 // immutable and shared across instances.
 func (c *Compiled) super(guarded bool) []compiledFunc {

@@ -7,8 +7,15 @@
 // a second AoT stage (PR 4, EngineRegister) that rewrites each function
 // into a basic-block register IR with constant folding, copy propagation
 // and hoisted bounds checks, and a third AoT stage (PR 7,
-// EngineSuperblock) that compiles the register IR's innermost self-loops
+// EngineSuperblock) that compiles the register IR's innermost idiom loops
 // into single Go closures.
+//
+// The register IR has one executor: when a function's register form is
+// translated, each instruction is compiled once into a pre-bound Go
+// closure (a step, exec_step.go), and a call runs the function's step
+// array from pc 0 until the return step. There is no register dispatch
+// switch; the superblock form is the same step array with idiom traces
+// patched in at loop headers.
 //
 // TWINE embeds this runtime inside the SGX enclave simulator; the runtime
 // itself is host-agnostic and reports linear-memory accesses through an
@@ -73,27 +80,24 @@
 //
 // The superblock tier (EngineSuperblock) stacks on the register form: it
 // finds innermost self-loop regions (a back-edge to a dominating header
-// inside one function) and replaces each header with a trace-enter
-// pseudo-op dispatching to a Go closure. Only the header instruction is
-// patched — interior pcs keep their original instructions, so mid-region
-// branch targets and guard-failure blobs still execute under the
-// register interpreter and re-enter the trace at the next back-edge.
-// Rules, in addition to everything above:
+// inside one function) and, for each one that matches an idiom template,
+// replaces the step at the header with the idiom's trace closure. Only
+// the header step is patched — interior pcs keep their own steps, so
+// mid-region branch targets and guard-failure blobs still run as plain
+// steps and re-enter the trace at the next back-edge. Rules, in addition
+// to everything above:
 //
-//   - Two trace forms exist. An IDIOM trace matches a counted loop
-//     (brcmp-ge header over an i32 induction local, constant positive
-//     step; the back-edge increment may also be LVN's copy of a
-//     body-computed L+step temp, proven affine-equal — the jacobi
-//     stencil shape) whose straight-line body is an affine f64 walk — loads and
-//     at most one trailing store at addresses c + cL·i + Σ coeffₖ·invₖ
-//     scaled by a constant stride, combined by one of a fixed set of
-//     templates (fill, copy, binary op, mul-add update, scaled sum,
-//     scalar accumulate). A STEP trace compiles every region instruction
-//     to a per-instruction closure copied expression-for-expression from
-//     the register interpreter's arms; calls, indirect calls, br_table,
-//     return and memory.grow/size exclude a region entirely (a bailout,
-//     counted in SuperStats). Anything unproven stays on the register
-//     interpreter — bailing is always correct.
+//   - An IDIOM trace matches a counted loop (brcmp-ge header over an i32
+//     induction local, constant positive step; the back-edge increment
+//     may also be LVN's copy of a body-computed L+step temp, proven
+//     affine-equal — the jacobi stencil shape) whose straight-line body
+//     is an affine f64 walk — at most eight loads and at most one
+//     trailing store (the trace's fixed access tables) at
+//     addresses c + cL·i + Σ coeffₖ·invₖ scaled by a constant stride,
+//     combined by one of a fixed set of templates (fill, copy, binary
+//     op, mul-add update, scaled sum, scalar accumulate). Every other
+//     loop (SuperStats.StepLoops) runs as the function's own steps —
+//     leaving a loop untraced is always correct.
 //   - Float semantics follow the PR 4 rule: nothing is folded at
 //     translation time, and idiom templates force product rounding
 //     (prod := float64(x*y)) so Go's FMA contraction cannot change bits.
@@ -118,9 +122,8 @@
 //     same class of slack PR 4's window guards already accept); guest
 //     results, traps and memory state remain bit-exact regardless.
 //   - Retired-instruction accounting: idiom traces charge one dispatch
-//     per iteration plus the trip entry; step traces count exactly one
-//     per executed instruction, preserving InsRetired parity for
-//     untraced shapes.
+//     per iteration plus the trip entry; every other step counts exactly
+//     one, preserving InsRetired parity for untraced shapes.
 //
 // Correctness of the whole stack is carried by a seeded cross-tier
 // differential fuzzer (fuzz_tier_test.go): structured random modules run

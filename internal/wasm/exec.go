@@ -32,7 +32,7 @@ func (in *Instance) invokeFunc(fi int) {
 		locals[i] = 0
 	}
 	if fn.reg {
-		in.runRegBody(fn, base)
+		in.runSteps(fn, base)
 	} else {
 		in.runBody(fn, base)
 	}

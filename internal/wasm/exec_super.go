@@ -16,12 +16,12 @@ import (
 // reset makes them dead at every block leader, so only the induction
 // local (and a reduce accumulator) carries out of the loop.
 type superIdiom struct {
-	start, end, exitPC int
-	l                  int32
-	step               uint32
-	limitReg           int32 // -1 → limitImm
-	limitImm           uint32
-	tailCopy           int32 // ≥0: tail was copy L, src — commit src = L on exit
+	exitPC   int
+	l        int32
+	step     uint32
+	limitReg int32 // -1 → limitImm
+	limitImm uint32
+	tailCopy int32 // ≥0: tail was copy L, src — commit src = L on exit
 
 	loads    []accSpec
 	hasStore bool
@@ -62,14 +62,16 @@ func (t *superIdiom) finish() bool {
 	return true
 }
 
-func (t *superIdiom) run(in *Instance, r []uint64, mem *Memory) (int, int64) {
+// run is the idiom's step at the loop header. The step loop retires the
+// entry dispatch; run charges one more per iteration.
+func (t *superIdiom) run(in *Instance, r []uint64, mem *Memory, bp int) int {
 	lim := int64(int32(t.limitImm))
 	if t.limitReg >= 0 {
 		lim = int64(int32(uint32(r[t.limitReg])))
 	}
 	cur := int64(int32(uint32(r[t.l])))
 	if cur >= lim {
-		return t.exitPC, 1
+		return t.exitPC
 	}
 	step := int64(t.step)
 	trips := (lim - cur + step - 1) / step
@@ -79,13 +81,15 @@ func (t *superIdiom) run(in *Instance, r []uint64, mem *Memory) (int, int64) {
 		if t.tailCopy >= 0 {
 			r[t.tailCopy] = r[t.l] // after the last copy L, src the two agree
 		}
-		return t.exitPC, trips + 1
+		in.insRetired += trips
+		return t.exitPC
 	}
 	n := t.runChecked(r, mem, cur, lim)
 	if t.tailCopy >= 0 {
 		r[t.tailCopy] = r[t.l]
 	}
-	return t.exitPC, n + 1
+	in.insRetired += n
+	return t.exitPC
 }
 
 // span is one access's resolved raw-mode address line: addr(k) = a0 + k·s.
@@ -327,7 +331,7 @@ func (t *superIdiom) runRaw(r []uint64, mem *Memory, cur, trips int64) bool {
 }
 
 // runChecked executes the loop one iteration at a time through the same
-// memLoad64/memStore64 helpers as the register interpreter, in program
+// memLoad64/memStore64 helpers as the register steps, in program
 // order — identical bounds traps, touch sequence and TLB stamping. The
 // induction local (and accumulator) are committed every iteration so a
 // mid-loop trap leaves the frame exactly as the interpreter would.

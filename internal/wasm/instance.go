@@ -19,16 +19,17 @@ const (
 	EngineInterp
 	// EngineRegister executes the second AoT stage (PR 4): per-function
 	// register IR with constant folding, copy propagation and hoisted
-	// bounds checks. Semantics are bit-identical to the other engines
-	// (same results, traps, and EPC fault/eviction counts); functions
-	// the translator cannot prove run in their fused AoT form.
+	// bounds checks, compiled to one Go closure per instruction.
+	// Semantics are bit-identical to the other engines (same results,
+	// traps, and EPC fault/eviction counts); functions the translator
+	// cannot prove run in their fused AoT form.
 	EngineRegister
 	// EngineSuperblock executes the third AoT stage (PR 7): the register
-	// IR with innermost self-loops compiled into single Go closures —
-	// idiom templates whose bounds/EPC-TLB guards are amortised to once
-	// per loop trip, or generic per-instruction step traces. Semantics
-	// are bit-identical to the other engines; loops the translator
-	// cannot prove stay under the register interpreter.
+	// tier with innermost self-loops that match an idiom template run as
+	// single Go closures whose bounds/EPC-TLB guards are amortised to
+	// once per loop trip. Semantics are bit-identical to the other
+	// engines; other loops run as the register tier's per-instruction
+	// closures.
 	EngineSuperblock
 )
 

@@ -240,9 +240,13 @@ const (
 // that reuses the frame layout: registers 0..numParams+numLocals-1 are the
 // locals, and register numParams+numLocals+i is the canonical home of
 // operand-stack slot i. Plain value-typed wasm opcodes (arithmetic,
-// compares, conversions) are reused verbatim in register code interpreted
+// compares, conversions) are reused verbatim in register code read
 // three-address — dst in .a, sources in .b/.c — so only control flow,
-// moves, memory and immediate-fused forms need dedicated encodings.
+// moves, memory and immediate-fused forms need dedicated encodings. The
+// instructions are an encoding only: each one is compiled once into a
+// step closure (makeStep, exec_step.go), and those steps are the register
+// tier's single executor; the superblock tier swaps idiom traces in for
+// the steps at idiom-loop headers.
 const (
 	// Moves and constants.
 	rOpConst uint16 = 0x300 // r[a] = imm
@@ -340,13 +344,4 @@ const (
 	// high 32 bits (rOpBrCmpImm). Only emitted for drop-free branches.
 	rOpBrCmp    uint16 = 0x390 // if cmp(r[b], r[c]): pc = a
 	rOpBrCmpImm uint16 = 0x391 // if cmp(r[b], u32(imm>>32)): pc = a
-
-	// Superblock tier (PR 7). In the superblock form of a function the
-	// header instruction of every compiled self-loop trace is replaced by
-	// sOpTraceEnter; a = index into compiledFunc.traces. Interior pcs of
-	// the region keep their original register instructions, so branches
-	// into the middle of a traced loop (guard-fail blobs, forward jumps)
-	// still execute correctly through runRegBody and re-enter the trace
-	// at the next back-edge.
-	sOpTraceEnter uint16 = 0x3A0
 )

@@ -148,3 +148,102 @@ func TestSuperCopyTailIdiom(t *testing.T) {
 		t.Errorf("superblock retired %d vs register %d; idiom trace did not engage", retired[3], retired[2])
 	}
 }
+
+// TestSuperWideSumStaysSteps pins the idiom size limit: a scaled-sum
+// body with more loads than a trace can hold (nine here) must not match
+// an idiom and must run as plain steps, bit-identical to the
+// interpreter. Matching it anyway would run the raw loop over an empty
+// access list and read unproven addresses.
+func TestSuperWideSumStaysSteps(t *testing.T) {
+	const n, width = 40, 9
+	const baseA, baseB = 64, 64 + (n+width)*8
+	m := wasmgen.NewModule()
+	m.Memory(1, 1)
+	f := m.Func(wasmgen.Sig().Returns(wasmgen.F64))
+	j := f.AddLocal(wasmgen.I32)
+	addr := func(base, off int32) {
+		f.LocalGet(j)
+		f.I32Const(off)
+		f.I32Add()
+		f.I32Const(8)
+		f.I32Mul()
+		f.I32Const(base)
+		f.I32Add()
+	}
+	forLoop := func(hi int32, body func()) {
+		f.I32Const(0)
+		f.LocalSet(j)
+		f.Block(wasmgen.BlockVoid)
+		f.Loop(wasmgen.BlockVoid)
+		f.LocalGet(j)
+		f.I32Const(hi)
+		f.I32GeS()
+		f.BrIf(1)
+		body()
+		f.LocalGet(j)
+		f.I32Const(1)
+		f.I32Add()
+		f.LocalSet(j)
+		f.Br(0)
+		f.End()
+		f.End()
+	}
+	// A[j] = j + 0.5, then B[j] = 0.5 * (A[j] + A[j+1] + ... + A[j+8]).
+	forLoop(n+width, func() {
+		addr(baseA, 0)
+		f.LocalGet(j)
+		f.F64ConvertI32S()
+		f.F64Const(0.5)
+		f.F64Add()
+		f.F64Store(0)
+	})
+	forLoop(n, func() {
+		addr(baseB, 0)
+		f.F64Const(0.5)
+		addr(baseA, 0)
+		f.F64Load(0)
+		for k := int32(1); k < width; k++ {
+			addr(baseA, k)
+			f.F64Load(0)
+			f.F64Add()
+		}
+		f.F64Mul()
+		f.F64Store(0)
+	})
+	f.I32Const(baseB + 8*(n-1))
+	f.F64Load(0)
+	f.End()
+	m.Export("run", f)
+
+	mod, err := Decode(m.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []Engine{EngineInterp, EngineRegister, EngineSuperblock}
+	var res [3]uint64
+	var mems [3][]byte
+	for ei, e := range engines {
+		in, err := Instantiate(c, nil, Config{Engine: e})
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		out, err := in.Invoke("run")
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		res[ei] = out[0]
+		mems[ei] = append([]byte(nil), in.mem.data...)
+	}
+	for ei := 1; ei < len(engines); ei++ {
+		if res[ei] != res[0] || !bytes.Equal(mems[ei], mems[0]) {
+			t.Errorf("%v diverged from interp: result %#x, want %#x", engines[ei], res[ei], res[0])
+		}
+	}
+	if st := c.SuperStats(false); st.Loops != 2 || st.StepLoops != 2 {
+		t.Errorf("want both loops as plain steps, got %+v", st)
+	}
+}

@@ -4,39 +4,32 @@ import "sort"
 
 // The superblock tier (PR 7) sits on top of the register IR: innermost
 // self-loop regions — a conditional exit test at the header, a body, an
-// induction increment, and a back-edge br — are compiled into a single Go
-// closure (a "trace") entered through sOpTraceEnter. Two trace shapes
-// exist, tried in order:
+// induction increment, and a back-edge br — that match an idiom template
+// (superIdiom) run as one Go closure, a "trace". The templates cover a
+// small set of PolyBench-shaped bodies (fma-update, min-add, scaled
+// stencil sum, fill, reduce, ...) whose memory accesses are affine in the
+// induction variable. A trace re-proves the PR 4 guard conditions once
+// per loop trip — every access span in bounds and on hot EPC-TLB pages —
+// and then runs the entire trip raw, or falls to a checked per-iteration
+// loop that replays the exact program-order memLoad*/memStore* sequence
+// when the trip guard fails.
 //
-//  1. An idiom template (superIdiom): the whole loop matches one of a
-//     small set of PolyBench-shaped bodies (fma-update, min-add, scaled
-//     stencil sum, fill, reduce, ...) whose memory accesses are affine in
-//     the induction variable. The template re-proves the PR 4 guard
-//     conditions once per loop trip — every access span in bounds and on
-//     hot EPC-TLB pages — and then runs the entire trip raw, or falls to
-//     a checked per-iteration loop that replays the exact program-order
-//     memLoad*/memStore* sequence when the trip guard fails.
-//  2. A generic step trace: every instruction of the region individually
-//     compiled to a closure; same dispatch count as the register
-//     interpreter but without the central switch.
-//
-// Loops containing calls, br_table, return, or memory.grow/size are left
-// to the register interpreter (counted in SuperStats.Bailouts). Only the
-// header pc is patched, so branches into the middle of a traced region
-// (guard-fail blobs) still execute through runRegBody and re-enter the
-// trace at the next back-edge.
+// The superblock form of a function is its register form's step array
+// with the step at each idiom-loop header replaced by the trace. Every
+// other loop (counted in SuperStats.StepLoops) runs as the function's own
+// steps, and branches into the middle of a traced region (guard-fail
+// blobs) run the interior steps and re-enter the trace at the next
+// back-edge.
 
 // SuperStats counts superblock-tier translation outcomes for one module
 // form. Reported by Compiled.SuperStats and surfaced by benchsnap -v so
-// silent coverage loss (loops quietly falling back to the register
-// interpreter) is visible.
+// silent coverage loss (loops quietly missing their idiom) is visible.
 type SuperStats struct {
 	Funcs     int // functions examined in register form
 	RegBail   int // functions that had no register form (run fused, untraced)
 	Loops     int // innermost self-loop regions discovered
-	Idioms    int // loops compiled to idiom templates
-	StepLoops int // loops compiled to generic step traces
-	Bailouts  int // loops left to the register interpreter
+	Idioms    int // loops compiled to idiom traces
+	StepLoops int // loops that matched no idiom and run as plain steps
 }
 
 func (s *SuperStats) merge(o SuperStats) {
@@ -45,19 +38,12 @@ func (s *SuperStats) merge(o SuperStats) {
 	s.Loops += o.Loops
 	s.Idioms += o.Idioms
 	s.StepLoops += o.StepLoops
-	s.Bailouts += o.Bailouts
 }
 
-// superTrace executes one compiled loop trace. r is the frame register
-// file; the return values are the next absolute pc (always outside the
-// region on normal exit) and the number of retired instructions to
-// charge, which includes the trace-entry dispatch itself.
-type superTrace func(in *Instance, r []uint64, mem *Memory) (int, int64)
-
 // translateSuper derives the superblock form of one register-form
-// function: a copy with hot self-loops patched to sOpTraceEnter and the
-// trace table filled in. Functions without a register body pass through
-// unchanged (they run in their fused form, untraced).
+// function: a copy whose step array runs the idiom trace at each matched
+// loop header. Functions without a register body pass through unchanged
+// (they run in their fused form, untraced).
 func translateSuper(fn *compiledFunc, st *SuperStats) compiledFunc {
 	out := *fn
 	if !fn.reg {
@@ -104,27 +90,19 @@ func translateSuper(fn *compiledFunc, st *SuperStats) compiledFunc {
 	}
 	st.Loops += len(inner)
 
-	var traces []superTrace
-	var patched []ins
+	patched := false
 	for _, rg := range inner {
 		tr, ok := matchIdiom(fn, rg.start, rg.end)
-		if ok {
-			st.Idioms++
-		} else if tr, ok = compileSteps(fn, rg.start, rg.end); ok {
+		if !ok {
 			st.StepLoops++
-		} else {
-			st.Bailouts++
 			continue
 		}
-		if patched == nil {
-			patched = append([]ins(nil), code...)
+		st.Idioms++
+		if !patched {
+			out.steps = append([]regStep(nil), fn.steps...)
+			patched = true
 		}
-		patched[rg.start] = ins{op: sOpTraceEnter, a: int32(len(traces))}
-		traces = append(traces, tr)
-	}
-	if patched != nil {
-		out.code = patched
-		out.traces = traces
+		out.steps[rg.start] = tr
 	}
 	return out
 }
@@ -282,9 +260,8 @@ type superFactor struct {
 // DSL loop: header exit test, straight-line body, induction increment,
 // back-edge. Bodies may contain only affine i32 address arithmetic, f64
 // loads/stores, and a recognised f64 combine; anything else (including
-// guarded windows — the trip guard subsumes them) falls through to the
-// generic step compiler.
-func matchIdiom(fn *compiledFunc, start, end int) (superTrace, bool) {
+// guarded windows — the trip guard subsumes them) stays as plain steps.
+func matchIdiom(fn *compiledFunc, start, end int) (regStep, bool) {
 	code := fn.code
 	nLoc := fn.numParams + fn.numLocals
 	if end-start < 3 {
@@ -315,7 +292,7 @@ func matchIdiom(fn *compiledFunc, start, end int) (superTrace, bool) {
 
 	// Header: if L >= limit → exit (the DSL's br_if out of the block).
 	hd := &code[start]
-	id := &superIdiom{start: start, end: end, l: l, step: step, limitReg: -1, tailCopy: -1}
+	id := &superIdiom{l: l, step: step, limitReg: -1, tailCopy: -1}
 	switch hd.op {
 	case rOpBrCmpImm:
 		if byte(hd.imm) != byte(OpI32GeS) || hd.b != l {
@@ -535,7 +512,9 @@ func matchIdiom(fn *compiledFunc, start, end int) (superTrace, bool) {
 			return nil, false
 		}
 	}
-	id.finish()
+	if !id.finish() {
+		return nil, false
+	}
 	return id.run, true
 }
 

@@ -10,7 +10,7 @@ import (
 	"twine/wasmgen"
 )
 
-var engines = []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT}
+var engines = []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT, wasm.EngineRegister, wasm.EngineSuperblock}
 
 // instantiate builds, decodes, compiles and instantiates a module under
 // the given engine.
@@ -31,7 +31,7 @@ func instantiate(t *testing.T, m *wasmgen.Module, e wasm.Engine, imp *wasm.Impor
 	return in
 }
 
-// eachEngine runs a subtest under both engines; behaviour must match.
+// eachEngine runs a subtest under every engine; behaviour must match.
 func eachEngine(t *testing.T, fn func(t *testing.T, e wasm.Engine)) {
 	t.Helper()
 	for _, e := range engines {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"twine/internal/hostfs"
 	"twine/internal/litedb"
@@ -77,12 +76,6 @@ type ShardConfig struct {
 	// column. Required when Shards > 1.
 	RouteTable  string
 	RouteColumn string
-	// CommitWindow holds a write batch open for stragglers before
-	// committing (default 0: opportunistic batching — whatever queued
-	// while the previous commit flushed forms the next batch).
-	CommitWindow time.Duration
-	// MaxBatch caps statements per group commit (default 32).
-	MaxBatch int
 	// NoGroupCommit executes writes synchronously on the caller, one
 	// autocommit transaction each — the fidelity configuration.
 	NoGroupCommit bool
@@ -168,9 +161,6 @@ func OpenService(cfg ShardConfig) (*Service, error) {
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
 	}
 	if cfg.Shards > 1 && (cfg.RouteTable == "" || cfg.RouteColumn == "") {
 		return nil, fmt.Errorf("tsql: a sharded service needs RouteTable and RouteColumn")
@@ -307,6 +297,10 @@ func (sh *shard) ensureFresh(h *servHandle) error {
 	}
 	if !h.writer && h.epoch != sh.epoch.Load() {
 		if err := h.db.edb.Reopen(); err != nil {
+			// A failed reopen leaves the handle half-closed. Drop it, so
+			// the next checkout opens a fresh clone from the sealed file.
+			h.db.rt.Enclave.Destroy()
+			h.db = nil
 			return err
 		}
 		h.epoch = sh.epoch.Load()
@@ -681,9 +675,12 @@ func (sh *shard) execDirect(r *writeReq) {
 	r.resp <- writeResp{n, err}
 }
 
-// commitLoop drains the shard's write queue into group commits. With no
-// CommitWindow the batching is opportunistic: everything that queued
-// while the previous batch flushed forms the next one.
+// maxBatch caps the requests carried by one group commit.
+const maxBatch = 32
+
+// commitLoop drains the shard's write queue into group commits. The
+// batching is opportunistic: everything that queued while the previous
+// batch flushed forms the next one.
 func (sh *shard) commitLoop() {
 	for {
 		var first *writeReq
@@ -693,30 +690,13 @@ func (sh *shard) commitLoop() {
 			return
 		}
 		batch := []*writeReq{first}
-		max := sh.svc.cfg.MaxBatch
-		if w := sh.svc.cfg.CommitWindow; w > 0 {
-			t := time.NewTimer(w)
-		window:
-			for len(batch) < max {
-				select {
-				case r := <-sh.wq:
-					batch = append(batch, r)
-				case <-t.C:
-					break window
-				case <-sh.done:
-					break window
-				}
-			}
-			t.Stop()
-		} else {
-		drain:
-			for len(batch) < max {
-				select {
-				case r := <-sh.wq:
-					batch = append(batch, r)
-				default:
-					break drain
-				}
+	drain:
+		for len(batch) < maxBatch {
+			select {
+			case r := <-sh.wq:
+				batch = append(batch, r)
+			default:
+				break drain
 			}
 		}
 		sh.commitBatch(batch)
@@ -792,13 +772,17 @@ func (sh *shard) commitBatch(batch []*writeReq) {
 		return
 	}
 
-	// Fallback: the batch aborted — re-run each request alone so only
-	// the genuinely failing ones report errors.
+	// Fallback: the batch aborted — re-run each request alone, one ECall
+	// each, so only the genuinely failing ones report errors.
 	atomic.AddInt64(&svc.stats.groupFallbacks, 1)
 	resps := make([]writeResp, len(live))
 	for i, r := range live {
-		n, rerr := runIn(sh.writer.edb.DB, i, r) // still one ECall each
-		_ = n
+		var n int64
+		rerr := sh.writer.edb.Batch(func(db *litedb.DB) error {
+			var err error
+			n, err = runIn(db, i, r)
+			return err
+		})
 		resps[i] = writeResp{n, rerr}
 	}
 	sh.epoch.Add(1)
